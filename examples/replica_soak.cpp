@@ -13,9 +13,9 @@
 //   * cross-process determinism: whichever variant completed a request, its
 //     tokens are byte-identical to the in-process nn::generate reference for
 //     THAT variant — the process boundary never changes bytes;
-//   * under worker chaos (SDD_REPLICA_FAULT = replica_kill9:at=N,
-//     replica_wedge:N, or ipc_torn_frame, armed in the first worker
-//     generation of variant SDD_REPLICA_FAULT_IDX only) the dead variant's
+//   * under worker chaos (SDD_FAULT = child.replica_kill9:at=N,
+//     child.replica_wedge:N, or child.ipc_torn_frame, armed in the first
+//     worker generation of variant replica_idx only) the dead variant's
 //     breaker opens, the supervisor respawns it, the router records
 //     failovers, and a half-open probe readmits the respawned worker;
 //   * SDD_REPLICA_SOAK_SWAP=1: a rolling upgrade (swap_model) drains the
@@ -35,6 +35,7 @@
 #include "nn/transformer.hpp"
 #include "serve/router.hpp"
 #include "util/env.hpp"
+#include "util/fault.hpp"
 #include "util/signals.hpp"
 
 using namespace sdd;
@@ -113,12 +114,13 @@ int main(int argc, char** argv) {
     return run_worker(argc, argv);
   }
 
-  // Chaos reaches the workers through the router: it forwards
-  // SDD_REPLICA_FAULT as the targeted variant's first-generation SDD_FAULT.
-  // The parent only needs the spec here to pick its assertions.
-  const std::string chaos = env_string("SDD_REPLICA_FAULT", "");
+  // Chaos reaches the workers through the router: it forwards the child.*
+  // directives of SDD_FAULT as the first-generation SDD_FAULT of variant
+  // replica_idx. The parent only needs them here to pick its assertions.
+  const fault::FaultConfig faults = fault::active();
+  const std::string chaos = faults.child;
   const auto target =
-      static_cast<std::size_t>(env_int("SDD_REPLICA_FAULT_IDX", 0));
+      static_cast<std::size_t>(faults[fault::Fault::kReplicaIdx]);
   const bool swap_mode = env_flag("SDD_REPLICA_SOAK_SWAP", false);
 
   const std::filesystem::path work{

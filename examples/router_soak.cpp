@@ -15,10 +15,10 @@
 //     failure window passes, and the router recorded failovers meanwhile;
 //   * under breaker_flap chaos the breaker opened at least once.
 //
-// Faults come from SDD_ROUTE_FAULT (same syntax as SDD_FAULT — see
-// src/util/fault.hpp) and are armed only after the models are built and the
-// per-variant reference outputs are decoded, so injector ordinals count
-// routed dispatches, not setup work. A malformed spec exits 64 (EX_USAGE).
+// Faults come from SDD_FAULT (see src/util/fault.hpp) and are armed only
+// after the models are built and the per-variant reference outputs are
+// decoded, so injector ordinals count routed dispatches, not setup work. A
+// malformed spec exits 64 (EX_USAGE).
 //
 // Exit codes: 0 = all invariants held, 3 = an invariant was violated.
 #include <algorithm>
@@ -86,19 +86,10 @@ std::vector<std::int32_t> reference_tokens(const nn::TransformerLM& model,
 }  // namespace
 
 int main() {
-  // Keep lazy SDD_FAULT arming out of the setup phase: this driver arms
-  // faults itself, from SDD_ROUTE_FAULT, once setup is done.
-  const std::string fault_spec = env_string("SDD_ROUTE_FAULT", "");
-  fault::FaultConfig fault_config;
-  if (!fault_spec.empty()) {
-    try {
-      fault_config = fault::parse_fault_spec(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "router_soak: malformed SDD_ROUTE_FAULT: %s\n",
-                   e.what());
-      return 64;  // EX_USAGE, matching the SDD_FAULT contract
-    }
-  }
+  // Keep SDD_FAULT out of the setup phase: this driver arms it itself once
+  // setup is done.
+  const std::string fault_spec = fault::take_env_spec();
+  const fault::FaultConfig fault_config = fault::parse_fault_spec(fault_spec);
 
   // The variant family the paper produces: the full model plus depth-pruned
   // variants (which SDD recovery would fine-tune; weights here are random —
@@ -135,7 +126,7 @@ int main() {
 
   if (!fault_spec.empty()) {
     fault::configure(fault_config);
-    std::printf("router_soak: armed SDD_ROUTE_FAULT=%s\n", fault_spec.c_str());
+    std::printf("router_soak: armed SDD_FAULT=%s\n", fault_spec.c_str());
   }
 
   serve::VariantRouter router{std::move(variants), config};
@@ -202,9 +193,9 @@ int main() {
   // Recovery phase: with a bounded replica_fail window armed, keep offering
   // traffic until the quarantined variant's half-open probes burn through
   // the window and close the breaker again.
-  const bool expect_recovery = fault_config.replica_fail_at >= 0;
+  const bool expect_recovery = fault_config.armed(fault::Fault::kReplicaFail);
   const auto target =
-      static_cast<std::size_t>(fault_config.replica_fault_index);
+      static_cast<std::size_t>(fault_config[fault::Fault::kReplicaIdx]);
   if (expect_recovery && target < names.size()) {
     const auto recovery_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds{30};
@@ -299,7 +290,8 @@ int main() {
       ok = false;
     }
   }
-  if (fault_config.breaker_flap && target < names.size() &&
+  if (fault_config.armed(fault::Fault::kBreakerFlap) &&
+      target < names.size() &&
       router.replicas()[target].stats.breaker_opens < 1) {
     std::fprintf(stderr, "router_soak: breaker_flap armed but the breaker "
                  "never opened\n");

@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,21 @@ Args parse_args(int argc, char** argv, int first) {
     args[key.substr(2)] = argv[i + 1];
   }
   return args;
+}
+
+// A required --flag that was not given. main() reports it as a usage error
+// (exit 2) naming the command and the flag.
+class MissingFlag : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+const std::string& require(const Args& args, const std::string& key) {
+  const auto it = args.find(key);
+  if (it == args.end()) {
+    throw MissingFlag("missing required flag --" + key);
+  }
+  return it->second;
 }
 
 std::string arg_or(const Args& args, const std::string& key,
@@ -204,16 +220,16 @@ int cmd_recover(const Args& args) {
 }
 
 int cmd_merge(const Args& args) {
-  const nn::TransformerLM a = nn::TransformerLM::load(args.at("a"));
-  const nn::TransformerLM b = nn::TransformerLM::load(args.at("b"));
+  const nn::TransformerLM a = nn::TransformerLM::load(require(args, "a"));
+  const nn::TransformerLM b = nn::TransformerLM::load(require(args, "b"));
   const float t = std::stof(arg_or(args, "t", "0.5"));
   const std::string mode = arg_or(args, "mode", "slerp");
   const nn::TransformerLM merged = core::merge_models(
       a, b, t,
       mode == "lerp" ? core::MergeMode::kLerp : core::MergeMode::kSlerpPerTensor);
-  merged.save(args.at("out"));
+  merged.save(require(args, "out"));
   std::printf("merged (%s, t=%.2f) -> %s\n", mode.c_str(), t,
-              args.at("out").c_str());
+              require(args, "out").c_str());
   return 0;
 }
 
@@ -262,16 +278,16 @@ int cmd_fleet_worker(const Args& args) {
   config.lease_ms = arg_int(args, "lease", config.lease_ms);
   config.task_retry = arg_int(args, "retry", config.task_retry);
   config.poll_ms = arg_int(args, "poll", config.poll_ms);
-  return fleet::worker_main(args.at("dir"), arg_or(args, "worker", "w0"),
+  return fleet::worker_main(require(args, "dir"), arg_or(args, "worker", "w0"),
                             config, fleet::execute_task);
 }
 
 int cmd_generate(const Args& args) {
-  const nn::TransformerLM model = nn::TransformerLM::load(args.at("model"));
+  const nn::TransformerLM model = nn::TransformerLM::load(require(args, "model"));
   const data::Vocab& vocab = data::Vocab::instance();
   std::vector<data::TokenId> prompt;
   prompt.push_back(vocab.bos());
-  const auto body = vocab.encode(args.at("prompt"));
+  const auto body = vocab.encode(require(args, "prompt"));
   prompt.insert(prompt.end(), body.begin(), body.end());
   prompt.push_back(vocab.sep());
 
@@ -292,7 +308,7 @@ int cmd_generate(const Args& args) {
 // SDD_REPLICA_PROCESS=1) each variant runs in its own supervised
 // `replica-worker` child; --swap name=ckpt then exercises a rolling upgrade.
 int cmd_route(const Args& args) {
-  const std::vector<std::string> paths = split_csv(args.at("models"));
+  const std::vector<std::string> paths = split_csv(require(args, "models"));
   if (paths.empty()) {
     throw std::invalid_argument("--models needs at least one model file");
   }
@@ -331,7 +347,7 @@ int cmd_route(const Args& args) {
   const data::Vocab& vocab = data::Vocab::instance();
   std::vector<data::TokenId> prompt;
   prompt.push_back(vocab.bos());
-  const auto body = vocab.encode(args.at("prompt"));
+  const auto body = vocab.encode(require(args, "prompt"));
   prompt.insert(prompt.end(), body.begin(), body.end());
   prompt.push_back(vocab.sep());
 
@@ -425,8 +441,8 @@ int cmd_route(const Args& args) {
 // the invariant the whole mode rests on.
 int cmd_speculate(const Args& args) {
   using SteadyClock = std::chrono::steady_clock;
-  const nn::TransformerLM target = nn::TransformerLM::load(args.at("target"));
-  const std::vector<std::string> paths = split_csv(args.at("drafts"));
+  const nn::TransformerLM target = nn::TransformerLM::load(require(args, "target"));
+  const std::vector<std::string> paths = split_csv(require(args, "drafts"));
   if (paths.empty()) {
     throw std::invalid_argument("--drafts needs at least one model file");
   }
@@ -438,7 +454,7 @@ int cmd_speculate(const Args& args) {
   const data::Vocab& vocab = data::Vocab::instance();
   std::vector<data::TokenId> prompt;
   prompt.push_back(vocab.bos());
-  const auto body = vocab.encode(args.at("prompt"));
+  const auto body = vocab.encode(require(args, "prompt"));
   prompt.insert(prompt.end(), body.begin(), body.end());
   prompt.push_back(vocab.sep());
 
@@ -498,13 +514,13 @@ int cmd_speculate(const Args& args) {
 // worker errors (the supervisor only needs "died"; the code aids debugging).
 int cmd_replica_worker(const Args& args) {
   return serve::replica_worker_main(
-      args.at("model"), arg_or(args, "name", "replica"),
-      static_cast<int>(std::stoll(args.at("fd"))),
+      require(args, "model"), arg_or(args, "name", "replica"),
+      static_cast<int>(std::stoll(require(args, "fd"))),
       arg_int(args, "heartbeat", 25));
 }
 
 int cmd_info(const Args& args) {
-  const nn::TransformerLM model = nn::TransformerLM::load(args.at("model"));
+  const nn::TransformerLM model = nn::TransformerLM::load(require(args, "model"));
   const nn::ModelConfig& config = model.config();
   std::printf("%s\n", config.to_string().c_str());
   std::printf("parameters : %lld\n", static_cast<long long>(model.param_count()));
@@ -555,12 +571,15 @@ int main(int argc, char** argv) {
     // util/error.hpp) so scripts can assert on the failure class: transient
     // I/O 75, timeout 74, resource exhausted 69, corrupt artifact 65,
     // numeric divergence 76, worker lost 71, interrupted 72, fatal 70. 64
-    // stays reserved for malformed SDD_FAULT specs, 1 for exceptions
-    // outside the taxonomy.
+    // stays reserved for malformed SDD_FAULT specs, 2 for usage errors
+    // (a missing required flag), 1 for exceptions outside the taxonomy.
     // what() already leads with the kind name ("corrupt_artifact: ...").
     std::fprintf(stderr, "error: %s%s\n", e.what(),
                  e.retryable() ? " (retryable)" : "");
     return sdd::error_kind_exit_code(e.kind());
+  } catch (const MissingFlag& e) {
+    std::fprintf(stderr, "error: %s: %s\n", command.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -10,10 +10,10 @@
 //     unloaded-server reference output for that request (equal when the
 //     request completed undegraded), regardless of batching or faults.
 //
-// Faults come from SDD_SERVE_FAULT (same syntax as SDD_FAULT — see
-// src/util/fault.hpp) and are armed only after the model is built and the
-// reference outputs are decoded, so injector counters (alloc_fail:at=N,
-// hang_decode:N, nan_decode:N) are relative to serving work, not setup.
+// Faults come from SDD_FAULT (see src/util/fault.hpp) and are armed only
+// after the model is built and the reference outputs are decoded, so
+// injector counters (alloc_fail:at=N, hang_decode:N, nan_decode:N) are
+// relative to serving work, not setup.
 // The model is also round-tripped through the fault-instrumented artifact
 // store before serving (exercising slow_io/io_fail); a failed store is
 // tolerated — serving continues from the in-memory model.
@@ -75,9 +75,9 @@ serve::Request request_for(std::uint64_t index) {
 }  // namespace
 
 int main() {
-  // Keep lazy SDD_FAULT arming out of the setup phase: this driver arms
-  // faults itself, from SDD_SERVE_FAULT, once setup is done.
-  const std::string fault_spec = env_string("SDD_SERVE_FAULT", "");
+  // Keep SDD_FAULT out of the setup phase: this driver arms it itself once
+  // setup is done.
+  const std::string fault_spec = fault::take_env_spec();
 
   const nn::TransformerLM model{soak_model_config(), 2025};
 
@@ -106,14 +106,8 @@ int main() {
   }
 
   if (!fault_spec.empty()) {
-    try {
-      fault::configure(fault::parse_fault_spec(fault_spec));
-      std::printf("serve_soak: armed SDD_SERVE_FAULT=%s\n", fault_spec.c_str());
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "serve_soak: malformed SDD_SERVE_FAULT: %s\n",
-                   e.what());
-      return 64;  // EX_USAGE, matching the SDD_FAULT contract
-    }
+    fault::configure(fault_spec);
+    std::printf("serve_soak: armed SDD_FAULT=%s\n", fault_spec.c_str());
   }
 
   // Round-trip the model through the fault-instrumented artifact store

@@ -16,10 +16,10 @@
 //   * a poisoned draft (draft_nan) degrades rounds to target-only steps
 //     (draft_fallbacks > 0) instead of failing any request.
 //
-// Faults come from SDD_SPEC_FAULT (same syntax as SDD_FAULT — see
-// src/util/fault.hpp) and are armed only after the models are built and the
-// reference outputs are decoded, so injector ordinals count speculative
-// work, not setup. A malformed spec exits 64 (EX_USAGE).
+// Faults come from SDD_FAULT (see src/util/fault.hpp) and are armed only
+// after the models are built and the reference outputs are decoded, so
+// injector ordinals count speculative work, not setup. A malformed spec
+// exits 64 (EX_USAGE).
 //
 // Exit codes: 0 = all invariants held, 3 = an invariant was violated.
 #include <cstdio>
@@ -70,19 +70,10 @@ void expect(bool condition, const char* what) {
 }  // namespace
 
 int main() {
-  // Keep lazy SDD_FAULT arming out of the setup phase: this driver arms
-  // faults itself, from SDD_SPEC_FAULT, once setup is done.
-  const std::string fault_spec = env_string("SDD_SPEC_FAULT", "");
-  fault::FaultConfig fault_config;
-  if (!fault_spec.empty()) {
-    try {
-      fault_config = fault::parse_fault_spec(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "spec_soak: malformed SDD_SPEC_FAULT: %s\n",
-                   e.what());
-      return 64;  // EX_USAGE, matching the SDD_FAULT contract
-    }
-  }
+  // Keep SDD_FAULT out of the setup phase: this driver arms it itself once
+  // setup is done.
+  const std::string fault_spec = fault::take_env_spec();
+  const fault::FaultConfig fault_config = fault::parse_fault_spec(fault_spec);
 
   const std::int64_t k = env_int("SDD_SPEC_K", 4);
   const std::int64_t n_prompts = env_int("SDD_SPEC_SOAK_PROMPTS", 8);
@@ -110,9 +101,10 @@ int main() {
 
   if (!fault_spec.empty()) {
     fault::configure(fault_config);
-    std::printf("spec_soak: armed SDD_SPEC_FAULT=%s\n", fault_spec.c_str());
+    std::printf("spec_soak: armed SDD_FAULT=%s\n", fault_spec.c_str());
   }
-  const bool storm_full = fault_config.spec_reject_p >= 1.0;
+  const bool storm_full =
+      fault_config.probability(fault::Fault::kSpecRejectStorm) >= 1.0;
   const bool clean = fault_spec.empty();
 
   // ---- phase 1: one-shot API, every draft depth x every prompt ------------
@@ -152,7 +144,7 @@ int main() {
                "full rejection storm must drive self-draft acceptance to 0");
       }
     }
-    if (fault_config.draft_nan >= 0 && name == "self") {
+    if (fault_config.armed(fault::Fault::kDraftNan) && name == "self") {
       expect(counters.draft_fallbacks > 0,
              "draft_nan armed but no round degraded to a target-only step");
     }

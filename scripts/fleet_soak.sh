@@ -9,8 +9,9 @@
 #
 # Usage: scripts/fleet_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_FLEET_FAULT so the
-# orchestrator stays fault-free and only workers inherit the injector):
+# Faults exercised (see src/util/fault.hpp; written as child.* directives of
+# SDD_FAULT, which the orchestrator forwards to its workers while staying
+# fault-free itself):
 #   worker_kill9:at=N  the worker raises SIGKILL at its Nth task claim, once
 #                      per fleet run; the lease must expire, the orphaned
 #                      claim be reclaimed, and the task re-run elsewhere
@@ -23,7 +24,7 @@
 #                      task file; O_EXCL must elect exactly one winner
 #   io_fail:p=...      workers' artifact commits fail with probability p;
 #                      failed tasks burn retry budget and must still finish
-#   orch_crash:N       (via SDD_FAULT, parent-side) the orchestrator
+#   orch_crash:N       (no child. prefix: parent-side) the orchestrator
 #                      _Exit(137)s at its Nth validated completion
 set -euo pipefail
 
@@ -61,15 +62,15 @@ REF="${WORK}/reference.txt"
 run_eval "${REF}" "${WORK}/reference.log"
 [[ -s "${REF}" ]] || { echo "fleet_soak: reference run produced no digest" >&2; exit 2; }
 
-chaos_case() { # name fleet-fault-spec [VAR=VALUE ...]
+chaos_case() { # name fault-spec [VAR=VALUE ...]
   local name="$1" fault="$2"
   shift 2
   local digest="${WORK}/digest_${name}.txt" log="${WORK}/${name}.log"
-  echo "== ${name} (SDD_FLEET_FAULT=${fault:-<none>})"
+  echo "== ${name} (SDD_FAULT=${fault:-<none>})"
   local rc=0
   run_eval "${digest}" "${log}" \
     SDD_FLEET_WORKERS=2 SDD_FLEET_DIR="${WORK}/fleet_${name}" \
-    SDD_FLEET_FAULT="${fault}" "$@" || rc=$?
+    SDD_FAULT="${fault}" "$@" || rc=$?
   if [[ "${rc}" -ne 0 ]]; then
     echo "   fleet run failed (exit ${rc}); last log lines:"
     tail -n 8 "${log}" | sed 's/^/   | /'
@@ -89,22 +90,23 @@ chaos_case() { # name fleet-fault-spec [VAR=VALUE ...]
 chaos_case clean ""
 
 # kill -9 on the first claim: lease expiry, orphan reclaim, requeue, respawn.
-chaos_case worker_kill9 "worker_kill9:at=0"
+chaos_case worker_kill9 "child.worker_kill9:at=0"
 
 # One worker hangs on its first claim: the orchestrator's stale-lease sweep
 # must SIGKILL it and respawn (single worker so no sibling can rescue it).
-chaos_case worker_stall "worker_stall:0" \
+chaos_case worker_stall "child.worker_stall:0" \
   SDD_FLEET_WORKERS=1 SDD_FLEET_LEASE_MS=1500
 
 # All workers funnelled onto the same task file: O_EXCL claim exclusion.
-chaos_case claim_race "claim_race"
+chaos_case claim_race "child.claim_race"
 
 # Flaky artifact commits inside workers: tasks fail with typed transient_io
 # errors, burn retry budget, and must still converge.
-chaos_case flaky_store "io_fail:p=0.3" SDD_FLEET_TASK_RETRY=8
+chaos_case flaky_store "child.io_fail:p=0.3" SDD_FLEET_TASK_RETRY=8
 
 # Acceptance scenario: every process-level injector at once.
-chaos_case combined "worker_kill9:at=0,worker_stall:2,claim_race" \
+chaos_case combined \
+  "child.worker_kill9:at=0,child.worker_stall:2,child.claim_race" \
   SDD_FLEET_LEASE_MS=1500
 
 # Orchestrator crash + restart: the parent _Exit(137)s after its second

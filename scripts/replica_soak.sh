@@ -10,8 +10,9 @@
 #
 # Usage: scripts/replica_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_REPLICA_FAULT +
-# SDD_REPLICA_FAULT_IDX so only one worker's environment carries the spec):
+# Faults exercised (see src/util/fault.hpp; written as child.* directives of
+# SDD_FAULT, which the router forwards to the first worker generation of
+# replica replica_idx (default 0) only):
 #   replica_kill9:at=N  the worker _Exit(137)s on its Nth request, mid-decode
 #                       from the router's point of view: in-flight requests
 #                       must fail over to sibling variants, the breaker opens,
@@ -49,47 +50,32 @@ export SDD_ROUTE_BREAKER_COOLDOWN_MS="${SDD_ROUTE_BREAKER_COOLDOWN_MS:-150}"
 export SDD_ROUTE_PROBE_MAX="${SDD_ROUTE_PROBE_MAX:-1}"
 export SDD_REPLICA_BACKOFF_MS="${SDD_REPLICA_BACKOFF_MS:-50}"
 export SDD_REPLICA_BACKOFF_CAP_MS="${SDD_REPLICA_BACKOFF_CAP_MS:-500}"
-
-check_case() { # name fault-spec [extra VAR=VAL ...]
-  local name="$1" fault="$2"
-  shift 2
-  echo "== ${name} (SDD_REPLICA_FAULT=${fault:-<none>}${*:+ $*})"
-  local dir="${WORK}/${name}"
-  mkdir -p "${dir}"
-  local rc=0
-  env SDD_REPLICA_SOAK_DIR="${dir}" SDD_REPLICA_FAULT="${fault}" \
-    SDD_REPLICA_FAULT_IDX=0 "$@" "${SOAK}" || rc=$?
-  if [[ "${rc}" -eq 0 ]]; then
-    soak_report "${name}" ok
-  else
-    echo "   invariant violated (exit ${rc})"
-    soak_report "${name}" bad
-  fi
-}
+# Checkpoints the driver saves and serves; every case rewrites them.
+export SDD_REPLICA_SOAK_DIR="${WORK}/checkpoints"
 
 # Baseline: three worker processes under concurrent load, no faults. Every
 # per-variant output must be byte-identical to the in-process reference
 # decode (the same weights generated without crossing a process boundary).
-check_case clean ""
+soak_case clean ""
 
 # kill -9 equivalent mid-decode: the 'full' worker _Exit(137)s on its second
 # request while siblings keep serving. The driver asserts zero lost requests,
 # failovers >= 1, breaker_opens >= 1, restarts >= 1, and the worker probed
 # back to healthy with probe_successes >= 1.
-check_case kill9 "replica_kill9:at=2"
+soak_case kill9 "child.replica_kill9:at=2"
 
 # Wedged worker: stops heartbeating after two requests. A short liveness
 # lease makes the supervisor detect the silence, SIGKILL, and respawn.
-check_case wedge "replica_wedge:2" SDD_REPLICA_LEASE_MS=300
+soak_case wedge "child.replica_wedge:2" SDD_REPLICA_LEASE_MS=300
 
 # Torn frame: the worker writes a truncated frame then dies. The checksum /
 # framing layer must surface worker_lost (never garbage tokens) and the
 # requests must fail over and still match the reference decode.
-check_case torn_frame "ipc_torn_frame"
+soak_case torn_frame "child.ipc_torn_frame"
 
 # Rolling upgrade: mid-traffic swap of the 'full' variant onto a new
 # checkpoint. Post-swap pinned requests must complete on 'full' and match
 # the NEW checkpoint's reference decode bit-for-bit (restarts >= 1).
-check_case swap "" SDD_REPLICA_SOAK_SWAP=1
+soak_case swap "" SDD_REPLICA_SOAK_SWAP=1
 
 soak_summary "replica soak"

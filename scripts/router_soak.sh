@@ -9,8 +9,9 @@
 #
 # Usage: scripts/router_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_ROUTE_FAULT so
-# model construction and the per-variant reference decodes stay fault-free):
+# Faults exercised (see src/util/fault.hpp; the driver arms SDD_FAULT itself
+# after model construction and the per-variant reference decodes, which stay
+# fault-free):
 #   replica_fail:at=N  dispatches to the target replica die pre-queue for a
 #                      window of replica_fail_n ordinals; the breaker must
 #                      open, requests fail over, and half-open probes must
@@ -39,38 +40,25 @@ export SDD_ROUTE_BREAKER_FAILS="${SDD_ROUTE_BREAKER_FAILS:-3}"
 export SDD_ROUTE_BREAKER_COOLDOWN_MS="${SDD_ROUTE_BREAKER_COOLDOWN_MS:-100}"
 export SDD_ROUTE_PROBE_MAX="${SDD_ROUTE_PROBE_MAX:-1}"
 
-check_case() { # name fault-spec
-  local name="$1" fault="$2"
-  echo "== ${name} (SDD_ROUTE_FAULT=${fault:-<none>})"
-  local rc=0
-  SDD_ROUTE_FAULT="${fault}" "${SOAK}" || rc=$?
-  if [[ "${rc}" -eq 0 ]]; then
-    soak_report "${name}" ok
-  else
-    echo "   invariant violated (exit ${rc})"
-    soak_report "${name}" bad
-  fi
-}
-
 # Baseline: three variants under concurrent load, no faults. Exercises
 # quality routing, deadline-pressure degradation, and backpressure failover.
-check_case clean ""
+soak_case clean ""
 
 # The primary replica dies for six consecutive dispatches: breaker opens,
 # requests fail over to the pruned variants, probes bring it back. The
 # driver additionally asserts breaker_opens >= 1, probe_successes >= 1, and
 # final health == healthy for the target replica.
-check_case replica_fail "replica_fail:at=2"
+soak_case replica_fail "replica_fail:at=2"
 
 # Slow transit to the primary: latency only; every request still resolves
 # and outputs stay bit-identical.
-check_case replica_slow "replica_slow:30"
+soak_case replica_slow "replica_slow:30"
 
 # The primary flaps (fails in bursts of three): the breaker must open at
 # least once and the router must keep every request terminal throughout.
-check_case breaker_flap "breaker_flap"
+soak_case breaker_flap "breaker_flap"
 
 # Dead-then-slow primary: failure window and transit delay at once.
-check_case combined "replica_fail:at=4,replica_slow:10"
+soak_case combined "replica_fail:at=4,replica_slow:10"
 
 soak_summary "router soak"

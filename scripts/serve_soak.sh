@@ -8,8 +8,8 @@
 #
 # Usage: scripts/serve_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_SERVE_FAULT so
-# model construction and reference decoding stay fault-free):
+# Faults exercised (see src/util/fault.hpp; the driver arms SDD_FAULT itself
+# after model construction and reference decoding, which stay fault-free):
 #   alloc_fail:at=N   Nth guarded tensor allocation throws resource_exhausted;
 #                     the server must shrink its admissible batch, not crash
 #   hang_decode:N     decode stalls at the Nth token; the worker watchdog
@@ -41,54 +41,31 @@ export SDD_SERVE_MAX_BATCH="${SDD_SERVE_MAX_BATCH:-4}"
 export SDD_SERVE_SOAK_CLIENTS="${SDD_SERVE_SOAK_CLIENTS:-4}"
 export SDD_SERVE_SOAK_LOAD="${SDD_SERVE_SOAK_LOAD:-4}"
 
-check_case() { # name [env VAR=VALUE ...] -- fault-spec
-  local name="$1"
-  shift
-  local -a extra_env=()
-  while [[ "$1" != "--" ]]; do
-    extra_env+=("$1")
-    shift
-  done
-  shift
-  local fault="${1:-}"
-  echo "== ${name} (SDD_SERVE_FAULT=${fault:-<none>})"
-  # Run the driver directly (no pipeline) so its exit code is what we test,
-  # and capture it explicitly rather than trusting $? after other commands.
-  local rc=0
-  env "${extra_env[@]}" SDD_SERVE_FAULT="${fault}" "${SOAK}" || rc=$?
-  if [[ "${rc}" -eq 0 ]]; then
-    soak_report "${name}" ok
-  else
-    echo "   invariant violated (exit ${rc})"
-    soak_report "${name}" bad
-  fi
-}
-
 # Baseline: overload alone (shedding/rejection/degradation, no faults).
-check_case clean -- ""
+soak_case clean ""
 
 # Allocation failure during the artifact-store load of the served model:
 # tolerated, serving falls back to the in-memory model.
-check_case alloc_fail_load -- "alloc_fail:at=3"
+soak_case alloc_fail_load "alloc_fail:at=3"
 
 # Allocation failure while admitting a decode slot: the batch limit shrinks
 # and recovers as slots retire; nothing OOMs or crashes.
-check_case alloc_fail_serve SDD_SERVE_SOAK_STORE=0 -- "alloc_fail:at=2"
+soak_case alloc_fail_serve "alloc_fail:at=2" SDD_SERVE_SOAK_STORE=0
 
 # A decode hangs mid-batch: the hang watchdog recycles the worker, the hung
 # request fails with a typed timeout, and the surviving slots complete with
 # bit-identical outputs.
-check_case hang_decode SDD_SERVE_HANG_MS=200 -- "hang_decode:5"
+soak_case hang_decode "hang_decode:5" SDD_SERVE_HANG_MS=200
 
 # NaN logits mid-decode: exactly that request fails (numeric_divergence),
 # everything else is unaffected.
-check_case nan_decode -- "nan_decode:10"
+soak_case nan_decode "nan_decode:10"
 
 # Slow artifact I/O on the model load path: latency only, no behavior change.
-check_case slow_io -- "slow_io:ms=50"
+soak_case slow_io "slow_io:ms=50"
 
 # Everything at once, aimed at the serving layer.
-check_case combined SDD_SERVE_HANG_MS=200 SDD_SERVE_SOAK_STORE=0 -- \
-  "hang_decode:20,nan_decode:40,alloc_fail:at=6"
+soak_case combined "hang_decode:20,nan_decode:40,alloc_fail:at=6" \
+  SDD_SERVE_HANG_MS=200 SDD_SERVE_SOAK_STORE=0
 
 soak_summary "serve soak"

@@ -1,10 +1,11 @@
-# Shared helpers for the chaos soak scripts (serve_soak.sh, fleet_soak.sh,
-# router_soak.sh): binary lookup with a build hint, a trapped scratch dir,
-# per-case pass/fail accounting, and a uniform summary/exit contract.
+# Shared helpers for the chaos soak scripts: binary lookup with a build
+# hint, a trapped scratch dir, one driver run per fault case, per-case
+# pass/fail accounting, and a uniform summary/exit contract.
 #
 # Source it, then:
 #   soak_require_binary LABEL PATH TARGET  # exit 2 with a build hint if absent
 #   soak_workdir PREFIX                    # sets $WORK; removed by an EXIT trap
+#   soak_case NAME SPEC [VAR=VAL ...]      # run $SOAK with SDD_FAULT=SPEC
 #   soak_report NAME ok|bad                # tally one case
 #   soak_summary TITLE                     # print the table; false if any failed
 
@@ -28,6 +29,24 @@ soak_require_binary() { # label path cmake-target
 soak_workdir() { # prefix
   WORK="$(mktemp -d "${TMPDIR:-/tmp}/$1.XXXXXX")"
   trap 'rm -rf "${WORK}"' EXIT
+}
+
+# Runs the soak driver $SOAK once with SDD_FAULT=SPEC plus any extra
+# VAR=VAL environment; the case passes when the driver exits 0 (every
+# invariant held). The driver runs directly, not in a pipeline, so its exit
+# code is what gets tested.
+soak_case() { # name spec [VAR=VAL ...]
+  local name="$1" spec="$2"
+  shift 2
+  echo "== ${name} (SDD_FAULT=${spec:-<none>}${*:+ $*})"
+  local rc=0
+  env SDD_FAULT="${spec}" "$@" "${SOAK}" || rc=$?
+  if [[ "${rc}" -eq 0 ]]; then
+    soak_report "${name}" ok
+  else
+    echo "   invariant violated (exit ${rc})"
+    soak_report "${name}" bad
+  fi
 }
 
 soak_report() { # name ok|bad

@@ -10,8 +10,8 @@
 #
 # Usage: scripts/spec_soak.sh [build-dir]
 #
-# Faults exercised (see src/util/fault.hpp; armed via SDD_SPEC_FAULT so
-# model construction and reference decoding stay fault-free):
+# Faults exercised (see src/util/fault.hpp; the driver arms SDD_FAULT itself
+# after model construction and reference decoding, which stay fault-free):
 #   spec_reject_storm        every draft proposal is corrupted; acceptance
 #                            collapses (self-draft: to exactly 0), bytes don't
 #   spec_reject_storm:p=0.5  probabilistic rejection storm
@@ -31,38 +31,22 @@ export TMPDIR="${WORK}"
 export SDD_LOG_LEVEL="${SDD_LOG_LEVEL:-warn}"
 export SDD_SPEC_K="${SDD_SPEC_K:-4}"
 
-check_case() { # name -- fault-spec
-  local name="$1"
-  shift
-  [[ "$1" == "--" ]] && shift
-  local fault="${1:-}"
-  echo "== ${name} (SDD_SPEC_FAULT=${fault:-<none>})"
-  local rc=0
-  SDD_SPEC_FAULT="${fault}" "${SOAK}" || rc=$?
-  if [[ "${rc}" -eq 0 ]]; then
-    soak_report "${name}" ok
-  else
-    echo "   invariant violated (exit ${rc})"
-    soak_report "${name}" bad
-  fi
-}
-
 # Baseline: no faults. Self-drafting must accept 100% of proposals.
-check_case clean -- ""
+soak_case clean ""
 
 # Every proposal corrupted: acceptance collapses to zero on the self-draft,
 # output bytes identical everywhere.
-check_case reject_storm -- "spec_reject_storm"
+soak_case reject_storm "spec_reject_storm"
 
 # Half the proposals corrupted: partial-prefix acceptance and KV rollback on
 # every round, still bit-identical.
-check_case reject_half -- "spec_reject_storm:p=0.5"
+soak_case reject_half "spec_reject_storm:p=0.5"
 
 # Draft model emits NaN logits: the round degrades to a target-only step
 # (draft_fallbacks > 0); no request fails, bytes identical.
-check_case draft_nan -- "draft_nan:3"
+soak_case draft_nan "draft_nan:3"
 
 # Storm and NaN together.
-check_case combined -- "spec_reject_storm:p=0.7,draft_nan:5"
+soak_case combined "spec_reject_storm:p=0.7,draft_nan:5"
 
 soak_summary "spec soak"

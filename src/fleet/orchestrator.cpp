@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -75,14 +74,10 @@ std::int64_t spawn_worker(const fs::path& dir, const FleetConfig& config,
       "--retry",  std::to_string(config.task_retry),
       "--poll",   std::to_string(config.poll_ms),
   };
-  std::vector<std::string> env;
-  // Worker-side faults arrive via SDD_FLEET_FAULT so the orchestrator's own
-  // process (and any model construction done before orchestrate()) stays
-  // fault-free — the same split SDD_SERVE_FAULT uses for the serving soak.
-  if (const char* fleet_fault = std::getenv("SDD_FLEET_FAULT")) {
-    env.push_back(std::string{"SDD_FAULT="} + fleet_fault);
-  }
-  return proc::spawn(argv, env);
+  // Workers get only the child.* directives of the orchestrator's SDD_FAULT,
+  // so the orchestrator's own process (and any model construction done
+  // before orchestrate()) stays fault-free.
+  return proc::spawn(argv, {"SDD_FAULT=" + fault::active().child});
 }
 
 }  // namespace

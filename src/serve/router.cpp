@@ -192,11 +192,11 @@ VariantRouter::VariantRouter(std::vector<VariantSpec> variants,
                   "(the draft pointer cannot cross a process boundary); "
                   "unset SDD_SPEC_DRAFT or SDD_REPLICA_PROCESS");
     }
-    // One `replica-worker` child per variant. Chaos (SDD_REPLICA_FAULT)
-    // targets exactly one variant's first worker generation so the soak can
-    // assert that the siblings absorb the failover.
-    const std::string child_fault = env_string("SDD_REPLICA_FAULT", "");
-    const std::int64_t fault_index = env_int("SDD_REPLICA_FAULT_IDX", 0);
+    // One `replica-worker` child per variant. Chaos (SDD_FAULT's child.*
+    // directives) targets exactly one variant's first worker generation,
+    // replica_idx, so the soak can assert that the siblings absorb the
+    // failover.
+    const fault::FaultConfig faults = fault::active();
     replicas_.resize(variants.size());
     for (std::size_t i = 0; i < variants.size(); ++i) {
       VariantSpec& spec = variants[i];
@@ -206,9 +206,8 @@ VariantRouter::VariantRouter(std::vector<VariantSpec> variants,
                         "' needs a checkpoint path");
       }
       RemoteReplicaConfig remote = config_.remote;
-      if (!child_fault.empty() &&
-          static_cast<std::int64_t>(i) == fault_index) {
-        remote.child_fault_spec = child_fault;
+      if (static_cast<std::int64_t>(i) == faults[fault::Fault::kReplicaIdx]) {
+        remote.child_fault_spec = faults.child;
       }
       replicas_[i] = std::make_unique<Replica>(
           std::move(spec.name), std::move(spec.path), spec.quality,

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -10,8 +11,9 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <sstream>
 #include <thread>
-#include <vector>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -21,22 +23,33 @@
 namespace sdd::fault {
 namespace {
 
+constexpr std::size_t idx(Fault f) { return static_cast<std::size_t>(f); }
+constexpr std::size_t idx(Hook h) { return static_cast<std::size_t>(h); }
+
+constexpr bool rows_follow_enum() {
+  for (std::size_t i = 0; i < kFaultCount; ++i) {
+    if (idx(kDirectives[i].id) != i) return false;
+  }
+  return true;
+}
+static_assert(rows_follow_enum(), "kDirectives rows must follow Fault order");
+
+constexpr std::string_view kChild = "child.";
+
+// kUnread until the first hook reads SDD_FAULT (or configure() preempts it);
+// afterwards every hook decides on this one load. Constant-initialized, so
+// hooks running during static initialization are safe.
+enum Phase : int { kUnread, kOff, kOn };
+std::atomic<int> g_phase{kUnread};
+std::once_flag g_env_once;
+
 struct State {
   FaultConfig config;
-  std::atomic<bool> armed{false};
-  std::atomic<std::int64_t> train_steps{0};
-  std::atomic<std::int64_t> io_commits{0};
-  std::atomic<std::int64_t> loss_checks{0};
-  std::atomic<std::int64_t> allocs{0};
-  std::atomic<std::int64_t> decode_tokens{0};
-  std::atomic<std::int64_t> logit_checks{0};
-  std::atomic<std::int64_t> fleet_claims{0};
-  std::atomic<std::int64_t> fleet_completions{0};
-  std::atomic<std::int64_t> replica_dispatches{0};
-  std::atomic<std::int64_t> replica_requests{0};
-  std::atomic<bool> replica_wedge_flag{false};
-  std::atomic<bool> torn_frame_fired{false};
-  std::atomic<std::int64_t> draft_logit_checks{0};
+  // Events per hook since the last configure(). Counting while a hook's own
+  // directives are unarmed would be harmless: only configure() changes the
+  // config, and it resets every counter.
+  std::array<std::atomic<std::int64_t>, kHookCount> counters{};
+  std::atomic<bool> wedged{false};
   std::mutex rng_mutex;
   Rng rng{0};
 };
@@ -46,348 +59,126 @@ State& state() {
   return s;
 }
 
-// SDD_FAULT is read once, on the first hook that fires; configure()/reset()
-// preempt it.
-std::once_flag g_env_once;
+std::int64_t value(Fault f) { return state().config[f]; }
 
-void init_from_env() {
-  std::call_once(g_env_once, [] {
-    const char* spec = std::getenv("SDD_FAULT");
-    if (spec == nullptr || *spec == '\0') return;
-    State& s = state();
-    // A programmatic configure() beats the environment.
-    if (s.armed.load(std::memory_order_acquire)) return;
-    try {
-      const FaultConfig config = parse_fault_spec(spec);
-      s.config = config;
-      s.rng.reseed(config.seed);
-      s.armed.store(config.any(), std::memory_order_release);
-      if (config.any()) log_warn("fault: armed from SDD_FAULT=", spec);
-    } catch (const std::invalid_argument& e) {
-      // A typo'd spec must not silently run the soak fault-free: fail fast
-      // with an actionable message instead.
-      log_error("fault: malformed SDD_FAULT='", spec, "': ", e.what(),
-                "\nfault: valid directives: io_fail:p=P, truncate_write, "
-                "crash_at_step:N, crash_at_io:N, hang_at_step:N, "
-                "nan_at_step:N, slow_io:ms=M, alloc_fail:at=N, "
-                "hang_decode:N, nan_decode:N, worker_kill9:at=N, "
-                "worker_stall:N, claim_race, orch_crash:N, "
-                "replica_fail:at=N, replica_fail_n:K, replica_idx:I, "
-                "replica_slow:MS, breaker_flap, replica_kill9:at=N, "
-                "replica_wedge:N, ipc_torn_frame, spec_reject_storm[:p=P], "
-                "draft_nan:N, mode:throw|exit, seed:N (comma-combined)");
-      std::exit(64);  // EX_USAGE
-    }
-  });
+// 0-based ordinal of this event on `hook`.
+std::int64_t tick(Hook hook) {
+  return state().counters[idx(hook)].fetch_add(1, std::memory_order_relaxed);
 }
 
-[[noreturn]] void crash(const char* where, std::int64_t count) {
+// True when the ordinal directive `f` targets event `n` (an unarmed ordinal
+// is -1, which no event ever is).
+bool hits(Fault f, std::int64_t n) { return value(f) == n; }
+
+// For hooks with one ordinal directive: while `f` is armed, counts this
+// event on its hook and returns the ordinal when `f` targets it; else -1.
+// Unarmed, the hook skips the shared counter (hot allocation paths).
+std::int64_t fire(Fault f) {
+  if (!enabled() || value(f) < 0) return -1;
+  const std::int64_t n = tick(kDirectives[idx(f)].hook);
+  return n == value(f) ? n : -1;
+}
+
+bool poisons(Fault f, const char* what) {
+  const std::int64_t n = fire(f);
+  if (n >= 0) log_warn("fault: poisoning ", what, " with NaN at #", n);
+  return n >= 0;
+}
+
+bool coin(double p) {
   State& s = state();
-  if (s.config.mode == CrashMode::kThrow) {
-    throw FaultCrash(std::string{"injected crash at "} + where + " #" +
-                     std::to_string(count));
+  const std::lock_guard<std::mutex> lock{s.rng_mutex};
+  return s.rng.bernoulli(p);
+}
+
+// Crash point: throws FaultCrash under mode:throw. Otherwise dies without
+// unwinding — by SIGKILL when `sigkill` (the truly unhandleable death), else
+// by _Exit(137), which skips atexit handlers and flushes like SIGKILL does.
+[[noreturn]] void crash(const std::string& what, bool sigkill = false) {
+  if (value(Fault::kMode) == static_cast<std::int64_t>(CrashMode::kThrow)) {
+    throw FaultCrash("injected " + what);
   }
-  log_error("fault: injected crash at ", where, " #", count, " — _Exit(137)");
-  std::_Exit(137);  // no atexit/flush, like SIGKILL
+  log_error("fault: injected ", what, sigkill ? " — SIGKILL" : " — _Exit(137)");
+  if (sigkill) ::raise(SIGKILL);
+  std::_Exit(137);  // also the backstop should SIGKILL not land
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
+// Parks the calling thread for at most hang_cap ms. A watched park (training
+// or decode hang) wakes when a supervisor watchdog cancels the stage and
+// throws Error{timeout}. An unwatched park (worker stall, replica wedge)
+// waits to be SIGKILLed from outside; outliving the cap is a crash.
+[[noreturn]] void park(const std::string& what, bool watched) {
+  const std::chrono::milliseconds cap{value(Fault::kHangCap)};
+  log_warn("fault: ", what, " (waiting for ",
+           watched ? "watchdog cancellation" : "SIGKILL", ", cap ", cap.count(),
+           " ms)");
+  if (!watched) {
+    std::this_thread::sleep_for(cap);
+    crash(what + " outlived the hang cap");
   }
-  return parts;
-}
-
-std::int64_t parse_int(const std::string& text, const std::string& directive) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault: bad integer '" + text + "' in '" +
-                                directive + "'");
-  }
-}
-
-double parse_prob(const std::string& text, const std::string& directive) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size() || value < 0.0 || value > 1.0) {
-      throw std::invalid_argument(text);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault: bad probability '" + text + "' in '" +
-                                directive + "'");
-  }
-}
-
-}  // namespace
-
-FaultConfig parse_fault_spec(const std::string& spec) {
-  FaultConfig config;
-  for (const std::string& directive : split(spec, ',')) {
-    if (directive.empty()) continue;
-    const std::size_t colon = directive.find(':');
-    const std::string name = directive.substr(0, colon);
-    const std::string arg =
-        colon == std::string::npos ? "" : directive.substr(colon + 1);
-    if (name == "io_fail") {
-      // accepts "io_fail:p=0.05" and "io_fail:0.05"
-      const std::string p = arg.rfind("p=", 0) == 0 ? arg.substr(2) : arg;
-      config.io_fail_p = parse_prob(p, directive);
-    } else if (name == "truncate_write") {
-      config.truncate_write = true;
-    } else if (name == "crash_at_step") {
-      config.crash_at_step = parse_int(arg, directive);
-    } else if (name == "crash_at_io") {
-      config.crash_at_io = parse_int(arg, directive);
-    } else if (name == "hang_at_step") {
-      config.hang_at_step = parse_int(arg, directive);
-    } else if (name == "nan_at_step") {
-      config.nan_at_step = parse_int(arg, directive);
-    } else if (name == "slow_io") {
-      // accepts "slow_io:ms=20" and "slow_io:20"
-      const std::string ms = arg.rfind("ms=", 0) == 0 ? arg.substr(3) : arg;
-      config.slow_io_ms = parse_int(ms, directive);
-      if (config.slow_io_ms < 0) {
-        throw std::invalid_argument("fault: negative delay in '" + directive + "'");
-      }
-    } else if (name == "alloc_fail") {
-      // accepts "alloc_fail:at=3" and "alloc_fail:3"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.alloc_fail_at = parse_int(at, directive);
-    } else if (name == "hang_decode") {
-      config.hang_decode = parse_int(arg, directive);
-    } else if (name == "nan_decode") {
-      config.nan_decode = parse_int(arg, directive);
-    } else if (name == "worker_kill9") {
-      // accepts "worker_kill9:at=1" and "worker_kill9:1"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.worker_kill9_at = parse_int(at, directive);
-    } else if (name == "worker_stall") {
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.worker_stall_at = parse_int(at, directive);
-    } else if (name == "claim_race") {
-      config.claim_race = true;
-    } else if (name == "orch_crash") {
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.orch_crash_at = parse_int(at, directive);
-    } else if (name == "replica_fail") {
-      // accepts "replica_fail:at=2" and "replica_fail:2"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_fail_at = parse_int(at, directive);
-    } else if (name == "replica_fail_n") {
-      config.replica_fail_count = parse_int(arg, directive);
-      if (config.replica_fail_count < 1) {
-        throw std::invalid_argument("fault: bad window in '" + directive + "'");
-      }
-    } else if (name == "replica_idx") {
-      config.replica_fault_index = parse_int(arg, directive);
-      if (config.replica_fault_index < 0) {
-        throw std::invalid_argument("fault: bad index in '" + directive + "'");
-      }
-    } else if (name == "replica_slow") {
-      // accepts "replica_slow:ms=30" and "replica_slow:30"
-      const std::string ms = arg.rfind("ms=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_slow_ms = parse_int(ms, directive);
-      if (config.replica_slow_ms < 0) {
-        throw std::invalid_argument("fault: negative delay in '" + directive + "'");
-      }
-    } else if (name == "breaker_flap") {
-      config.breaker_flap = true;
-    } else if (name == "replica_kill9") {
-      // accepts "replica_kill9:at=2" and "replica_kill9:2"
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_kill9_at = parse_int(at, directive);
-    } else if (name == "replica_wedge") {
-      const std::string at = arg.rfind("at=", 0) == 0 ? arg.substr(3) : arg;
-      config.replica_wedge_at = parse_int(at, directive);
-    } else if (name == "ipc_torn_frame") {
-      config.ipc_torn_frame = true;
-    } else if (name == "spec_reject_storm") {
-      // accepts bare "spec_reject_storm" (always corrupt),
-      // "spec_reject_storm:p=0.5", and "spec_reject_storm:0.5"
-      if (arg.empty()) {
-        config.spec_reject_p = 1.0;
-      } else {
-        const std::string p = arg.rfind("p=", 0) == 0 ? arg.substr(2) : arg;
-        config.spec_reject_p = parse_prob(p, directive);
-      }
-    } else if (name == "draft_nan") {
-      config.draft_nan = parse_int(arg, directive);
-    } else if (name == "hang_cap") {
-      config.hang_cap_ms = parse_int(arg, directive);
-    } else if (name == "mode") {
-      if (arg == "exit") {
-        config.mode = CrashMode::kExit;
-      } else if (arg == "throw") {
-        config.mode = CrashMode::kThrow;
-      } else {
-        throw std::invalid_argument("fault: unknown mode '" + arg + "'");
-      }
-    } else if (name == "seed") {
-      config.seed = static_cast<std::uint64_t>(parse_int(arg, directive));
-    } else {
-      throw std::invalid_argument("fault: unknown directive '" + directive + "'");
-    }
-  }
-  return config;
-}
-
-void configure(const FaultConfig& config) {
-  State& s = state();
-  s.config = config;
-  s.train_steps.store(0, std::memory_order_relaxed);
-  s.io_commits.store(0, std::memory_order_relaxed);
-  s.loss_checks.store(0, std::memory_order_relaxed);
-  s.allocs.store(0, std::memory_order_relaxed);
-  s.decode_tokens.store(0, std::memory_order_relaxed);
-  s.logit_checks.store(0, std::memory_order_relaxed);
-  s.fleet_claims.store(0, std::memory_order_relaxed);
-  s.fleet_completions.store(0, std::memory_order_relaxed);
-  s.replica_dispatches.store(0, std::memory_order_relaxed);
-  s.replica_requests.store(0, std::memory_order_relaxed);
-  s.replica_wedge_flag.store(false, std::memory_order_relaxed);
-  s.torn_frame_fired.store(false, std::memory_order_relaxed);
-  s.draft_logit_checks.store(0, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock{s.rng_mutex};
-    s.rng.reseed(config.seed);
-  }
-  s.armed.store(config.any(), std::memory_order_release);
-}
-
-void reset() { configure(FaultConfig{}); }
-
-bool enabled() {
-  init_from_env();
-  return state().armed.load(std::memory_order_acquire);
-}
-
-void on_train_step() {
-  if (!enabled()) return;
-  State& s = state();
-  const std::int64_t step = s.train_steps.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.crash_at_step >= 0 && step == s.config.crash_at_step) {
-    crash("train_step", step);
-  }
-  if (s.config.hang_at_step >= 0 && step == s.config.hang_at_step) {
-    log_warn("fault: hanging at train step ", step,
-             " (waiting for watchdog cancellation)");
-    const bool cancelled = supervisor::wait_for_cancellation(
-        std::chrono::milliseconds{s.config.hang_cap_ms});
-    throw Error(ErrorKind::kTimeout,
-                cancelled ? "injected hang aborted by watchdog at step " +
-                                std::to_string(step)
-                          : "injected hang expired unwatched at step " +
-                                std::to_string(step));
-  }
-}
-
-float poison_loss(float loss) {
-  if (!enabled()) return loss;
-  State& s = state();
-  if (s.config.nan_at_step < 0) return loss;
-  const std::int64_t check = s.loss_checks.fetch_add(1, std::memory_order_relaxed);
-  if (check != s.config.nan_at_step) return loss;
-  log_warn("fault: poisoning loss with NaN at loss check ", check);
-  return std::numeric_limits<float>::quiet_NaN();
-}
-
-bool should_fail_io(const std::filesystem::path& path) {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.io_fail_p <= 0.0) return false;
-  bool fail;
-  {
-    const std::lock_guard<std::mutex> lock{s.rng_mutex};
-    fail = s.rng.bernoulli(s.config.io_fail_p);
-  }
-  if (fail) log_warn("fault: injected io failure for ", path.string());
-  return fail;
-}
-
-bool should_truncate_write(const std::filesystem::path& path) {
-  if (!enabled()) return false;
-  State& s = state();
-  if (!s.config.truncate_write) return false;
-  log_warn("fault: tearing write of ", path.string());
-  return true;
-}
-
-void on_io_commit(const std::filesystem::path& path) {
-  if (!enabled()) return;
-  State& s = state();
-  const std::int64_t commit = s.io_commits.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.crash_at_io >= 0 && commit == s.config.crash_at_io) {
-    log_error("fault: crashing during commit of ", path.string());
-    crash("io_commit", commit);
-  }
-}
-
-void io_delay(const std::filesystem::path& path) {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.slow_io_ms <= 0) return;
-  log_debug("fault: delaying commit of ", path.string(), " by ",
-            s.config.slow_io_ms, " ms");
-  std::this_thread::sleep_for(std::chrono::milliseconds{s.config.slow_io_ms});
-}
-
-void on_alloc(std::size_t bytes) {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.alloc_fail_at < 0) return;
-  const std::int64_t alloc = s.allocs.fetch_add(1, std::memory_order_relaxed);
-  if (alloc != s.config.alloc_fail_at) return;
-  log_warn("fault: failing guarded allocation #", alloc, " (", bytes, " bytes)");
-  throw Error(ErrorKind::kResourceExhausted,
-              "injected allocation failure at guarded allocation #" +
-                  std::to_string(alloc) + " (" + std::to_string(bytes) +
-                  " bytes)");
-}
-
-void on_decode_token() {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.hang_decode < 0) return;
-  const std::int64_t token =
-      s.decode_tokens.fetch_add(1, std::memory_order_relaxed);
-  if (token != s.config.hang_decode) return;
-  log_warn("fault: hanging at decode token ", token,
-           " (waiting for watchdog cancellation)");
-  const bool cancelled = supervisor::wait_for_cancellation(
-      std::chrono::milliseconds{s.config.hang_cap_ms});
+  const bool cancelled = supervisor::wait_for_cancellation(cap);
   throw Error(ErrorKind::kTimeout,
-              cancelled ? "injected decode hang aborted by watchdog at token " +
-                              std::to_string(token)
-                        : "injected decode hang expired unwatched at token " +
-                              std::to_string(token));
+              "injected " + what +
+                  (cancelled ? " aborted by watchdog" : " expired unwatched"));
 }
 
-bool should_poison_logits() {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.nan_decode < 0) return false;
-  const std::int64_t check =
-      s.logit_checks.fetch_add(1, std::memory_order_relaxed);
-  if (check != s.config.nan_decode) return false;
-  log_warn("fault: poisoning decode logits with NaN at token ", check);
-  return true;
+std::invalid_argument malformed(const std::string& problem,
+                                const std::string& directive) {
+  return std::invalid_argument("fault: " + problem + " in '" + directive + "'");
 }
 
-namespace {
+// Parses all of `text` with std::stoll / std::stod.
+template <typename T>
+T parse_number(const std::string& text, const std::string& directive) {
+  std::size_t used = std::string::npos;
+  T value{};
+  try {
+    if constexpr (std::is_same_v<T, double>) {
+      value = std::stod(text, &used);
+    } else {
+      value = std::stoll(text, &used);
+    }
+  } catch (const std::exception&) {
+  }
+  if (used != text.size()) throw malformed("bad number '" + text + "'", directive);
+  return value;
+}
+
+const Directive* find_directive(std::string_view name) {
+  for (const Directive& row : kDirectives) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+std::string env_spec() {
+  const char* spec = std::getenv("SDD_FAULT");
+  return spec == nullptr ? "" : spec;
+}
+
+// Parses an SDD_FAULT value. A malformed one exits 64 (EX_USAGE) with the
+// generated directive list: a typo'd soak spec must not run fault-free.
+FaultConfig parse_env_spec(const std::string& spec) {
+  try {
+    return parse_fault_spec(spec);
+  } catch (const std::invalid_argument& e) {
+    log_error("fault: malformed SDD_FAULT='", spec, "': ", e.what(),
+              "\nfault: ", usage());
+    std::exit(64);
+  }
+}
+
+bool init_from_env() {
+  std::call_once(g_env_once, [] {
+    // A programmatic configure() beats the environment.
+    if (g_phase.load(std::memory_order_acquire) != kUnread) return;
+    const std::string spec = env_spec();
+    const FaultConfig config = parse_env_spec(spec);
+    configure(config);
+    if (config.any()) log_warn("fault: armed from SDD_FAULT=", spec);
+  });
+  return g_phase.load(std::memory_order_acquire) == kOn;
+}
 
 // O_EXCL marker under the fleet run directory: the first process to create it
 // wins, so a fleet-level fault fires at most once per run even though every
@@ -402,73 +193,230 @@ bool try_create_marker(const std::filesystem::path& marker) {
 
 }  // namespace
 
+bool FaultConfig::armed(Fault f) const {
+  switch (kDirectives[idx(f)].arg) {
+    case Arg::kFlag: return (*this)[f] != 0;
+    case Arg::kOrdinal: return (*this)[f] >= 0;
+    case Arg::kDelay: return (*this)[f] > 0;
+    case Arg::kProb:
+    case Arg::kOptProb: return probability(f) > 0.0;
+    default: return false;
+  }
+}
+
+bool FaultConfig::any() const {
+  for (const Directive& row : kDirectives) {
+    if (armed(row.id)) return true;
+  }
+  return false;
+}
+
+FaultConfig parse_fault_spec(const std::string& spec) {
+  FaultConfig config;
+  std::stringstream directives{spec};
+  for (std::string directive; std::getline(directives, directive, ',');) {
+    if (directive.empty()) continue;
+    if (directive.starts_with(kChild)) {
+      // Validate the innermost directive now, so a typo fails in the parent
+      // instead of in every child it spawns.
+      std::string_view inner = directive;
+      while (inner.starts_with(kChild)) inner.remove_prefix(kChild.size());
+      parse_fault_spec(std::string{inner});
+      if (inner.empty()) continue;
+      if (!config.child.empty()) config.child += ',';
+      config.child += directive.substr(kChild.size());
+      continue;
+    }
+    const std::size_t colon = directive.find(':');
+    const Directive* row =
+        find_directive(std::string_view{directive}.substr(0, colon));
+    if (row == nullptr) throw malformed("unknown directive", directive);
+    std::string arg =
+        colon == std::string::npos ? "" : directive.substr(colon + 1);
+    const bool bare = arg.empty();
+    if (!row->alias.empty() && arg.starts_with(row->alias)) {
+      arg.erase(0, row->alias.size());
+    }
+    const std::size_t i = idx(row->id);
+    switch (row->arg) {
+      case Arg::kFlag:
+        config.value[i] = 1;
+        break;
+      case Arg::kProb:
+      case Arg::kOptProb:
+        config.prob[i] = bare && row->arg == Arg::kOptProb
+                             ? 1.0
+                             : parse_number<double>(arg, directive);
+        if (config.prob[i] < 0.0 || config.prob[i] > 1.0) {
+          throw malformed("probability outside [0, 1]", directive);
+        }
+        break;
+      case Arg::kMode:
+        if (arg != "exit" && arg != "throw") throw malformed("unknown mode", directive);
+        config.value[i] = static_cast<std::int64_t>(
+            arg == "throw" ? CrashMode::kThrow : CrashMode::kExit);
+        break;
+      default:  // kOrdinal, kDelay, kParam
+        config.value[i] = parse_number<std::int64_t>(arg, directive);
+        if (config.value[i] < row->min) {
+          throw malformed("value below " + std::to_string(row->min), directive);
+        }
+    }
+  }
+  return config;
+}
+
+std::string usage() {
+  // Argument placeholder per Arg, in enum order.
+  constexpr std::array<std::string_view, 7> kForms = {
+      "", ":N", ":ms=M", ":p=P", "[:p=P]", ":N", ":throw|exit"};
+  static_assert(kForms.size() == static_cast<std::size_t>(Arg::kMode) + 1);
+  std::string text = "valid directives: ";
+  for (const Directive& row : kDirectives) {
+    text += row.name;
+    text += row.alias == "at=" ? ":at=N" : kForms[static_cast<std::size_t>(row.arg)];
+    text += ", ";
+  }
+  return text + "child.<directive> (comma-combined)";
+}
+
+void configure(const FaultConfig& config) {
+  State& s = state();
+  s.config = config;
+  for (std::atomic<std::int64_t>& counter : s.counters) {
+    counter.store(0, std::memory_order_relaxed);
+  }
+  s.wedged.store(false, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock{s.rng_mutex};
+    s.rng.reseed(static_cast<std::uint64_t>(config[Fault::kSeed]));
+  }
+  g_phase.store(config.any() ? kOn : kOff, std::memory_order_release);
+}
+
+void configure(const std::string& spec) { configure(parse_fault_spec(spec)); }
+
+void reset() { configure(FaultConfig{}); }
+
+bool enabled() {
+  const int phase = g_phase.load(std::memory_order_acquire);
+  if (phase != kUnread) return phase == kOn;
+  return init_from_env();
+}
+
+FaultConfig active() {
+  enabled();
+  return state().config;
+}
+
+std::string take_env_spec() {
+  const std::string spec = env_spec();
+  parse_env_spec(spec);  // exits 64 when malformed
+  reset();               // lazy SDD_FAULT initialization now never arms
+  return spec;
+}
+
+void on_train_step() {
+  if (!enabled()) return;
+  const std::int64_t step = tick(Hook::kTrainStep);
+  if (hits(Fault::kCrashAtStep, step)) {
+    crash("crash at train step #" + std::to_string(step));
+  }
+  if (hits(Fault::kHangAtStep, step)) {
+    park("hang at train step #" + std::to_string(step), true);
+  }
+}
+
+float poison_loss(float loss) {
+  return poisons(Fault::kNanAtStep, "training loss")
+             ? std::numeric_limits<float>::quiet_NaN()
+             : loss;
+}
+
+bool should_fail_io(const std::filesystem::path& path) {
+  if (!enabled()) return false;
+  const double p = state().config.probability(Fault::kIoFail);
+  if (p <= 0.0 || !coin(p)) return false;
+  log_warn("fault: injected io failure for ", path.string());
+  return true;
+}
+
+bool should_truncate_write(const std::filesystem::path& path) {
+  if (!enabled() || value(Fault::kTruncateWrite) == 0) return false;
+  log_warn("fault: tearing write of ", path.string());
+  return true;
+}
+
+void on_io_commit(const std::filesystem::path& path) {
+  const std::int64_t commit = fire(Fault::kCrashAtIo);
+  if (commit < 0) return;
+  crash("crash at io commit #" + std::to_string(commit) + " of " +
+        path.string());
+}
+
+void io_delay(const std::filesystem::path& path) {
+  if (!enabled()) return;
+  const std::int64_t ms = value(Fault::kSlowIo);
+  if (ms <= 0) return;
+  log_debug("fault: delaying commit of ", path.string(), " by ", ms, " ms");
+  std::this_thread::sleep_for(std::chrono::milliseconds{ms});
+}
+
+void on_alloc(std::size_t bytes) {
+  const std::int64_t alloc = fire(Fault::kAllocFail);
+  if (alloc < 0) return;
+  log_warn("fault: failing guarded allocation #", alloc, " (", bytes, " bytes)");
+  throw Error(ErrorKind::kResourceExhausted,
+              "injected allocation failure at guarded allocation #" +
+                  std::to_string(alloc) + " (" + std::to_string(bytes) +
+                  " bytes)");
+}
+
+void on_decode_token() {
+  const std::int64_t token = fire(Fault::kHangDecode);
+  if (token < 0) return;
+  park("decode hang at token #" + std::to_string(token), true);
+}
+
+bool should_poison_logits() { return poisons(Fault::kNanDecode, "decode logits"); }
+
 void on_fleet_claim(const std::filesystem::path& fleet_dir) {
   if (!enabled()) return;
-  State& s = state();
-  if (s.config.worker_kill9_at < 0 && s.config.worker_stall_at < 0) return;
-  const std::int64_t claim =
-      s.fleet_claims.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.worker_kill9_at >= 0 && claim == s.config.worker_kill9_at &&
+  const std::int64_t claim = tick(Hook::kFleetClaim);
+  if (hits(Fault::kWorkerKill9, claim) &&
       try_create_marker(fleet_dir / ".fault_worker_kill9")) {
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected worker kill -9 at fleet claim #" +
-                       std::to_string(claim));
-    }
-    log_error("fault: SIGKILLing worker at fleet claim #", claim);
-    ::raise(SIGKILL);
-    std::_Exit(137);  // unreachable backstop
+    crash("worker kill -9 at fleet claim #" + std::to_string(claim), true);
   }
-  if (s.config.worker_stall_at >= 0 && claim == s.config.worker_stall_at &&
+  if (hits(Fault::kWorkerStall, claim) &&
       try_create_marker(fleet_dir / ".fault_worker_stall")) {
-    log_warn("fault: worker going lease-silent at fleet claim #", claim,
-             " (waiting for orchestrator SIGKILL, cap ", s.config.hang_cap_ms,
-             " ms)");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds{s.config.hang_cap_ms});
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected worker stall expired unkilled at claim #" +
-                       std::to_string(claim));
-    }
-    log_error("fault: stalled worker outlived hang cap — _Exit(137)");
-    std::_Exit(137);
+    park("worker stall at fleet claim #" + std::to_string(claim), false);
   }
 }
 
 bool claim_race_armed() {
-  if (!enabled()) return false;
-  return state().config.claim_race;
+  return enabled() && value(Fault::kClaimRace) != 0;
 }
 
 void on_fleet_completion() {
-  if (!enabled()) return;
-  State& s = state();
-  if (s.config.orch_crash_at < 0) return;
-  const std::int64_t done =
-      s.fleet_completions.fetch_add(1, std::memory_order_relaxed);
-  if (done == s.config.orch_crash_at) {
-    crash("fleet_completion", done);
-  }
+  const std::int64_t done = fire(Fault::kOrchCrash);
+  if (done < 0) return;
+  crash("orchestrator crash at fleet completion #" + std::to_string(done));
 }
 
 bool should_fail_replica(std::int64_t index) {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.replica_fail_at < 0 && !s.config.breaker_flap) return false;
-  if (index != s.config.replica_fault_index) return false;
+  if (!enabled() || index != value(Fault::kReplicaIdx)) return false;
   // The ordinal only advances for dispatches to the target replica, so the
   // failure window is stable regardless of how much traffic the healthy
   // replicas absorb meanwhile.
-  const std::int64_t ordinal =
-      s.replica_dispatches.fetch_add(1, std::memory_order_relaxed);
-  bool fail = false;
-  if (s.config.breaker_flap) {
-    // Bursts of three consecutive failures (the default breaker threshold):
-    // the breaker genuinely opens, probes half-open, closes, and re-opens.
-    fail = (ordinal / 3) % 2 == 1;
-  } else {
-    fail = ordinal >= s.config.replica_fail_at &&
-           ordinal < s.config.replica_fail_at + s.config.replica_fail_count;
-  }
+  const std::int64_t ordinal = tick(Hook::kReplicaDispatch);
+  const std::int64_t first = value(Fault::kReplicaFail);
+  // breaker_flap: bursts of three consecutive failures (the default breaker
+  // threshold), so the breaker genuinely opens, probes half-open, closes,
+  // and re-opens.
+  const bool fail = value(Fault::kBreakerFlap) != 0
+                        ? (ordinal / 3) % 2 == 1
+                        : first >= 0 && ordinal >= first &&
+                              ordinal - first < value(Fault::kReplicaFailN);
   if (fail) {
     log_warn("fault: failing router dispatch #", ordinal, " to replica ",
              index);
@@ -477,82 +425,43 @@ bool should_fail_replica(std::int64_t index) {
 }
 
 std::int64_t replica_dispatch_delay_ms(std::int64_t index) {
-  if (!enabled()) return 0;
-  State& s = state();
-  if (s.config.replica_slow_ms <= 0) return 0;
-  return index == s.config.replica_fault_index ? s.config.replica_slow_ms : 0;
+  if (!enabled() || index != value(Fault::kReplicaIdx)) return 0;
+  return std::max<std::int64_t>(0, value(Fault::kReplicaSlow));
 }
 
 void on_replica_request() {
   if (!enabled()) return;
-  State& s = state();
-  if (s.config.replica_kill9_at < 0 && s.config.replica_wedge_at < 0) return;
-  const std::int64_t request =
-      s.replica_requests.fetch_add(1, std::memory_order_relaxed);
-  if (s.config.replica_kill9_at >= 0 &&
-      request == s.config.replica_kill9_at) {
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected replica kill -9 at request frame #" +
-                       std::to_string(request));
-    }
-    log_error("fault: SIGKILLing replica worker at request frame #", request);
-    ::raise(SIGKILL);
-    std::_Exit(137);  // unreachable backstop
+  const std::int64_t request = tick(Hook::kReplicaRequest);
+  if (hits(Fault::kReplicaKill9, request)) {
+    crash("replica kill -9 at request frame #" + std::to_string(request),
+          true);
   }
-  if (s.config.replica_wedge_at >= 0 &&
-      request == s.config.replica_wedge_at) {
-    // Flag first so the heartbeat thread falls silent, then park the request
-    // loop: the supervisor's liveness lease — not a request error — must be
-    // what detects this.
-    s.replica_wedge_flag.store(true, std::memory_order_release);
-    log_warn("fault: replica worker wedging at request frame #", request,
-             " (heartbeats stop; waiting for supervisor SIGKILL, cap ",
-             s.config.hang_cap_ms, " ms)");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds{s.config.hang_cap_ms});
-    if (s.config.mode == CrashMode::kThrow) {
-      throw FaultCrash("injected replica wedge expired unkilled at frame #" +
-                       std::to_string(request));
-    }
-    log_error("fault: wedged replica outlived hang cap — _Exit(137)");
-    std::_Exit(137);
+  if (hits(Fault::kReplicaWedge, request)) {
+    // Flag first so the heartbeat thread falls silent: the supervisor's
+    // liveness lease — not a request error — must detect the wedge.
+    state().wedged.store(true, std::memory_order_release);
+    park("replica wedge at request frame #" + std::to_string(request), false);
   }
 }
 
 bool replica_wedged() {
-  if (!enabled()) return false;
-  return state().replica_wedge_flag.load(std::memory_order_acquire);
+  return enabled() && state().wedged.load(std::memory_order_acquire);
 }
 
 bool should_tear_frame() {
-  if (!enabled()) return false;
-  State& s = state();
-  if (!s.config.ipc_torn_frame) return false;
-  return !s.torn_frame_fired.exchange(true, std::memory_order_acq_rel);
+  return enabled() && value(Fault::kIpcTornFrame) != 0 &&
+         tick(Hook::kTornFrame) == 0;
 }
 
 std::int32_t corrupt_draft_token(std::int32_t token, std::int32_t vocab) {
   if (!enabled()) return token;
-  State& s = state();
-  if (s.config.spec_reject_p <= 0.0 || vocab <= 1) return token;
-  bool corrupt = s.config.spec_reject_p >= 1.0;
-  if (!corrupt) {
-    const std::lock_guard<std::mutex> lock{s.rng_mutex};
-    corrupt = s.rng.bernoulli(s.config.spec_reject_p);
-  }
-  if (!corrupt) return token;
+  const double p = state().config.probability(Fault::kSpecRejectStorm);
+  if (p <= 0.0 || vocab <= 1 || (p < 1.0 && !coin(p))) return token;
   return static_cast<std::int32_t>((token + 1) % vocab);
 }
 
 bool should_poison_draft_logits() {
-  if (!enabled()) return false;
-  State& s = state();
-  if (s.config.draft_nan < 0) return false;
-  const std::int64_t check =
-      s.draft_logit_checks.fetch_add(1, std::memory_order_relaxed);
-  if (check != s.config.draft_nan) return false;
-  log_warn("fault: poisoning draft logits with NaN at draft row ", check);
-  return true;
+  return poisons(Fault::kDraftNan, "draft logits");
 }
 
 }  // namespace sdd::fault

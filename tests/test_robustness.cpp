@@ -26,6 +26,8 @@
 namespace sdd {
 namespace {
 
+using fault::Fault;
+
 namespace fs = std::filesystem;
 
 // All scratch dirs live under one pid-suffixed root: `ctest -j` runs each
@@ -169,12 +171,13 @@ TEST_F(RobustnessTest, FaultSpecParsing) {
   const fault::FaultConfig config = fault::parse_fault_spec(
       "io_fail:p=0.25,crash_at_step:7,crash_at_io:3,truncate_write,mode:throw,"
       "seed:9");
-  EXPECT_DOUBLE_EQ(config.io_fail_p, 0.25);
-  EXPECT_EQ(config.crash_at_step, 7);
-  EXPECT_EQ(config.crash_at_io, 3);
-  EXPECT_TRUE(config.truncate_write);
-  EXPECT_EQ(config.mode, fault::CrashMode::kThrow);
-  EXPECT_EQ(config.seed, 9ULL);
+  EXPECT_DOUBLE_EQ(config.probability(Fault::kIoFail), 0.25);
+  EXPECT_EQ(config[Fault::kCrashAtStep], 7);
+  EXPECT_EQ(config[Fault::kCrashAtIo], 3);
+  EXPECT_TRUE(config.armed(Fault::kTruncateWrite));
+  EXPECT_EQ(config[Fault::kMode],
+            static_cast<std::int64_t>(fault::CrashMode::kThrow));
+  EXPECT_EQ(config[Fault::kSeed], 9);
 
   EXPECT_THROW(fault::parse_fault_spec("io_fail:p=2.0"), std::invalid_argument);
   EXPECT_THROW(fault::parse_fault_spec("crash_at_step:abc"), std::invalid_argument);
@@ -185,14 +188,14 @@ TEST_F(RobustnessTest, FaultSpecParsing) {
 TEST_F(RobustnessTest, FaultSpecParsingSupervisionDirectives) {
   const fault::FaultConfig config = fault::parse_fault_spec(
       "hang_at_step:9,nan_at_step:11,slow_io:ms=20,hang_cap:500");
-  EXPECT_EQ(config.hang_at_step, 9);
-  EXPECT_EQ(config.nan_at_step, 11);
-  EXPECT_EQ(config.slow_io_ms, 20);
-  EXPECT_EQ(config.hang_cap_ms, 500);
+  EXPECT_EQ(config[Fault::kHangAtStep], 9);
+  EXPECT_EQ(config[Fault::kNanAtStep], 11);
+  EXPECT_EQ(config[Fault::kSlowIo], 20);
+  EXPECT_EQ(config[Fault::kHangCap], 500);
   EXPECT_TRUE(config.any());
 
   // slow_io accepts the bare-number shorthand too.
-  EXPECT_EQ(fault::parse_fault_spec("slow_io:7").slow_io_ms, 7);
+  EXPECT_EQ(fault::parse_fault_spec("slow_io:7")[Fault::kSlowIo], 7);
 
   // Partial or garbage specs must be rejected, not half-applied.
   EXPECT_THROW(fault::parse_fault_spec("hang_at_step:"), std::invalid_argument);
@@ -216,10 +219,7 @@ TEST_F(RobustnessTest, FailedCommitLeavesNoArtifact) {
   const fs::path dir = temp_dir("sdd_robust_iofail");
   const fs::path path = dir / "artifact.bin";
 
-  fault::FaultConfig config;
-  config.io_fail_p = 1.0;
-  config.mode = fault::CrashMode::kThrow;
-  fault::configure(config);
+  fault::configure("io_fail:p=1,mode:throw");
 
   BinaryWriter writer{path};
   writer.write_u64(7);
@@ -236,10 +236,7 @@ TEST_F(RobustnessTest, CrashDuringCommitLeavesOnlyTempFile) {
   const fs::path dir = temp_dir("sdd_robust_crashio");
   const fs::path path = dir / "artifact.bin";
 
-  fault::FaultConfig config;
-  config.crash_at_io = 0;
-  config.mode = fault::CrashMode::kThrow;
-  fault::configure(config);
+  fault::configure("crash_at_io:0,mode:throw");
 
   {
     BinaryWriter writer{path};
@@ -267,9 +264,7 @@ TEST_F(RobustnessTest, TornWriteIsDetectedOnRead) {
   const fs::path dir = temp_dir("sdd_robust_torn");
   const fs::path path = dir / "artifact.bin";
 
-  fault::FaultConfig config;
-  config.truncate_write = true;
-  fault::configure(config);
+  fault::configure("truncate_write");
   {
     BinaryWriter writer{path};
     writer.write_vector(std::vector<float>(128, 2.0F));
@@ -428,10 +423,7 @@ TEST_F(RobustnessTest, PretrainResumeAfterCrashIsBitIdentical) {
   // Crashed-and-restarted run: die at step 17 (after the step-16 checkpoint),
   // then restart from scratch with the same config.
   const train::PretrainConfig config = tiny_pretrain_config(dir / "crash.ckpt");
-  fault::FaultConfig faults;
-  faults.crash_at_step = 17;
-  faults.mode = fault::CrashMode::kThrow;
-  fault::configure(faults);
+  fault::configure("crash_at_step:17,mode:throw");
   {
     nn::TransformerLM victim{model_config, 7};
     EXPECT_THROW(train::pretrain(victim, stream, config), fault::FaultCrash);
@@ -457,10 +449,8 @@ TEST_F(RobustnessTest, PretrainResumeBeforeFirstCheckpointStartsFresh) {
   train::pretrain(reference, stream, tiny_pretrain_config(dir / "ref.ckpt"));
 
   const train::PretrainConfig config = tiny_pretrain_config(dir / "crash.ckpt");
-  fault::FaultConfig faults;
-  faults.crash_at_step = 3;  // before the first checkpoint at step 8
-  faults.mode = fault::CrashMode::kThrow;
-  fault::configure(faults);
+  // Before the first checkpoint at step 8.
+  fault::configure("crash_at_step:3,mode:throw");
   {
     nn::TransformerLM victim{model_config, 7};
     EXPECT_THROW(train::pretrain(victim, stream, config), fault::FaultCrash);
@@ -499,10 +489,7 @@ TEST_F(RobustnessTest, StaleCheckpointFromOtherConfigIsIgnored) {
   // Leave a mid-run checkpoint behind with a different step budget.
   train::PretrainConfig other = tiny_pretrain_config(dir / "shared.ckpt");
   other.steps = 20;
-  fault::FaultConfig faults;
-  faults.crash_at_step = 10;
-  faults.mode = fault::CrashMode::kThrow;
-  fault::configure(faults);
+  fault::configure("crash_at_step:10,mode:throw");
   {
     nn::TransformerLM victim{model_config, 7};
     EXPECT_THROW(train::pretrain(victim, stream, other), fault::FaultCrash);
@@ -548,10 +535,8 @@ TEST_F(RobustnessTest, LoraSftResumeAfterCrashIsBitIdentical) {
 
   const std::uint64_t reference = run(dir / "ref.ckpt");
 
-  fault::FaultConfig faults;
-  faults.crash_at_step = 12;  // after the step-10 checkpoint
-  faults.mode = fault::CrashMode::kThrow;
-  fault::configure(faults);
+  // After the step-10 checkpoint.
+  fault::configure("crash_at_step:12,mode:throw");
   EXPECT_THROW(run(dir / "crash.ckpt"), fault::FaultCrash);
   fault::reset();
 
@@ -582,9 +567,7 @@ TEST_F(RobustnessTest, InjectedNanRollsBackToBitIdenticalWeights) {
 
   // Poison the loss once at step 5: the guard must restore the last snapshot
   // and replay to weights bit-identical to the clean run.
-  fault::FaultConfig faults;
-  faults.nan_at_step = 5;
-  fault::configure(faults);
+  fault::configure("nan_at_step:5");
   nn::TransformerLM poisoned{model_config, 7};
   const train::TrainStats stats = train::pretrain(poisoned, stream, config);
   fault::reset();
@@ -612,9 +595,7 @@ TEST_F(RobustnessTest, PersistentDivergenceSkipsBatchAndHalvesLr) {
   config.seed = 21;
   config.max_rollbacks = 0;  // first divergence is already "persistent"
 
-  fault::FaultConfig faults;
-  faults.nan_at_step = 4;
-  fault::configure(faults);
+  fault::configure("nan_at_step:4");
   nn::TransformerLM model{model_config, 7};
   const train::TrainStats stats = train::pretrain(model, stream, config);
   fault::reset();
@@ -675,9 +656,7 @@ TEST_F(RobustnessTest, SftInjectedNanRollsBackToBitIdenticalWeights) {
 
   const std::uint64_t reference = run(nullptr);
 
-  fault::FaultConfig faults;
-  faults.nan_at_step = 6;
-  fault::configure(faults);
+  fault::configure("nan_at_step:6");
   train::TrainStats stats;
   const std::uint64_t poisoned = run(&stats);
   fault::reset();
@@ -743,10 +722,7 @@ TEST_F(RobustnessTest, PipelineSurvivesTotalStoreFailure) {
   const ScopedLogLevel quiet{LogLevel::kOff};
   const fs::path dir = temp_dir("sdd_robust_pipeline_iofail");
 
-  fault::FaultConfig faults;
-  faults.io_fail_p = 1.0;  // every artifact commit fails
-  faults.mode = fault::CrashMode::kThrow;
-  fault::configure(faults);
+  fault::configure("io_fail:p=1,mode:throw");  // every commit fails
 
   core::Pipeline pipeline{micro_pipeline_config(dir)};
   const nn::TransformerLM recovered =

@@ -21,6 +21,7 @@ namespace sdd {
 namespace {
 
 using namespace std::chrono_literals;
+using fault::Fault;
 using serve::InferenceServer;
 using serve::Request;
 using serve::RequestState;
@@ -315,9 +316,7 @@ TEST(Serve, AllocFailureDegradesInsteadOfCrashing) {
 
   // After configure() the allocation counter is zero, so the very next
   // guarded allocation — the first decode slot — fails.
-  fault::FaultConfig faults;
-  faults.alloc_fail_at = 0;
-  fault::configure(faults);
+  fault::configure("alloc_fail:0");
 
   auto first = server.submit(request_for(1));
   auto second = server.submit(request_for(2));
@@ -341,9 +340,7 @@ TEST(Serve, NanLogitsFailTypedAndServingContinues) {
   config.start_worker = false;
   InferenceServer server{model, config};
 
-  fault::FaultConfig faults;
-  faults.nan_decode = 2;  // poison the third decode token
-  fault::configure(faults);
+  fault::configure("nan_decode:2");  // poison the third decode token
 
   auto poisoned = server.submit(request_for(1, /*max_new=*/10));
   auto clean = server.submit(request_for(2, /*max_new=*/10));
@@ -367,10 +364,8 @@ TEST(Serve, HungDecodeIsRecycledByWatchdog) {
   config.worker.hang_ms = 200;  // heartbeat-silence watchdog
   InferenceServer server{model, config};
 
-  fault::FaultConfig faults;
-  faults.hang_decode = 0;  // the first request's first decode round hangs
-  faults.hang_cap_ms = 10'000;
-  fault::configure(faults);
+  // The first request's first decode round hangs.
+  fault::configure("hang_decode:0,hang_cap:10000");
 
   auto hung = server.submit(request_for(1, /*max_new=*/10));
   auto survivor = server.submit(request_for(2, /*max_new=*/10));
@@ -555,12 +550,12 @@ TEST(Serve, ErrorExitCodesAreDistinctAndStable) {
 TEST(Serve, FaultSpecParsesNewDirectives) {
   const fault::FaultConfig config = fault::parse_fault_spec(
       "alloc_fail:at=4,hang_decode:7,nan_decode:9");
-  EXPECT_EQ(config.alloc_fail_at, 4);
-  EXPECT_EQ(config.hang_decode, 7);
-  EXPECT_EQ(config.nan_decode, 9);
+  EXPECT_EQ(config[Fault::kAllocFail], 4);
+  EXPECT_EQ(config[Fault::kHangDecode], 7);
+  EXPECT_EQ(config[Fault::kNanDecode], 9);
   EXPECT_TRUE(config.any());
   // Short form without "at=".
-  EXPECT_EQ(fault::parse_fault_spec("alloc_fail:2").alloc_fail_at, 2);
+  EXPECT_EQ(fault::parse_fault_spec("alloc_fail:2")[Fault::kAllocFail], 2);
   EXPECT_THROW(fault::parse_fault_spec("alloc_fail:at=x"),
                std::invalid_argument);
 }

@@ -24,6 +24,7 @@ namespace sdd {
 namespace {
 
 using namespace std::chrono_literals;
+using fault::Fault;
 using nn::TransformerLM;
 using testing::tiny_config;
 
@@ -212,9 +213,8 @@ TEST(Spec, CountersBalanceExactly) {
 
 TEST(Spec, RejectionStormAtPositionZeroPreservesBytes) {
   const TransformerLM target{tiny_config(3), 84};
-  fault::FaultConfig faults;
-  faults.spec_reject_p = 1.0;  // every proposal corrupted: reject at pos 0
-  fault::configure(faults);
+  // Every proposal corrupted: reject at pos 0.
+  fault::configure("spec_reject_storm:p=1");
   nn::SpecCounters counters;
   const auto output = nn::speculative_generate(
       target, target, test_prompt(), greedy_options(10), 4, &counters);
@@ -231,9 +231,7 @@ TEST(Spec, PartialRejectionStormPreservesBytes) {
   const TransformerLM target{tiny_config(4), 85};
   const TransformerLM draft = target.pruned(2, 1);
   const auto reference = nn::generate(target, test_prompt(), greedy_options(14));
-  fault::FaultConfig faults;
-  faults.spec_reject_p = 0.5;
-  fault::configure(faults);
+  fault::configure("spec_reject_storm:p=0.5");
   for (const std::int64_t k : {1, 3, 4}) {
     EXPECT_EQ(nn::speculative_generate(target, draft, test_prompt(),
                                        greedy_options(14), k),
@@ -245,9 +243,8 @@ TEST(Spec, PartialRejectionStormPreservesBytes) {
 
 TEST(Spec, DraftNanDegradesRoundWithoutFailing) {
   const TransformerLM target{tiny_config(3), 86};
-  fault::FaultConfig faults;
-  faults.draft_nan = 5;  // past the prompt prefill rows, inside a proposal
-  fault::configure(faults);
+  // Past the prompt prefill rows, inside a proposal.
+  fault::configure("draft_nan:5");
   nn::SpecCounters counters;
   const auto output = nn::speculative_generate(
       target, target, test_prompt(), greedy_options(12), 4, &counters);
@@ -295,12 +292,12 @@ TEST(Spec, RejectsInvalidSessions) {
 
 TEST(Spec, FaultSpecParsesSpeculativeDirectives) {
   const fault::FaultConfig storm = fault::parse_fault_spec("spec_reject_storm");
-  EXPECT_DOUBLE_EQ(storm.spec_reject_p, 1.0);
+  EXPECT_DOUBLE_EQ(storm.probability(Fault::kSpecRejectStorm), 1.0);
   const fault::FaultConfig half =
       fault::parse_fault_spec("spec_reject_storm:p=0.5");
-  EXPECT_DOUBLE_EQ(half.spec_reject_p, 0.5);
+  EXPECT_DOUBLE_EQ(half.probability(Fault::kSpecRejectStorm), 0.5);
   const fault::FaultConfig nan = fault::parse_fault_spec("draft_nan:7");
-  EXPECT_EQ(nan.draft_nan, 7);
+  EXPECT_EQ(nan[Fault::kDraftNan], 7);
   EXPECT_TRUE(storm.any());
   EXPECT_TRUE(nan.any());
   EXPECT_THROW(fault::parse_fault_spec("spec_reject_storm:p=nope"),
@@ -394,9 +391,7 @@ TEST(SpecServe, SampledRequestsBypassTheDraft) {
 
 TEST(SpecServe, SpeculativeSlotSurvivesRejectionStorm) {
   const TransformerLM model{tiny_config(3), 94};
-  fault::FaultConfig faults;
-  faults.spec_reject_p = 1.0;
-  fault::configure(faults);
+  fault::configure("spec_reject_storm:p=1");
   serve::ServerConfig config;
   config.spec_k = 4;
   serve::InferenceServer server{model, config, &model};
